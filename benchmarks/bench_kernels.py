@@ -15,7 +15,7 @@ import pytest
 from repro.analytic import BernoulliExactEngine
 from repro.core import SameSuite, TestedPopulationView, marginal_system_pfd
 from repro.core.bounds import back_to_back_envelope
-from repro.demand import DemandSpace, uniform_profile
+from repro.demand import DemandSpace, geometric_profile, uniform_profile, zipf_profile
 from repro.faults import clustered_universe
 from repro.mc import (
     apply_imperfect_testing_batch,
@@ -156,6 +156,32 @@ def test_kernel_back_to_back_batch(benchmark, imperfect_model):
         universe,
         comparator,
     )
+
+
+DRAW_PROFILES = {
+    "uniform": lambda space: uniform_profile(space),
+    "zipf-0.8": lambda space: zipf_profile(space, 0.8),
+    "geometric-0.9": lambda space: geometric_profile(space, 0.9),
+    "zipf-3.0": lambda space: zipf_profile(space, 3.0),
+}
+
+
+@pytest.mark.parametrize("search", ["guided", "binary"])
+@pytest.mark.parametrize("law", sorted(DRAW_PROFILES))
+def test_kernel_profile_draws(benchmark, law, search):
+    """A (2048, 100) block of demand indices from uniforms, guided search
+    against the plain binary search it reproduces, on a uniform profile
+    and on skewed ones whose widest guide bucket outgrows the step cap."""
+    profile = DRAW_PROFILES[law](DemandSpace(400))
+    uniforms = np.random.default_rng(0).random((2048, 100))
+    table = profile.inverse_cdf
+    if search == "guided":
+        benchmark(table.indices, uniforms)
+    else:
+        cdf = np.cumsum(profile.probabilities)
+        benchmark(
+            lambda: np.minimum(np.searchsorted(cdf, uniforms, side="right"), 399)
+        )
 
 
 def _timed(callable_, *args, **kwargs):

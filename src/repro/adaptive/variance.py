@@ -172,7 +172,7 @@ def _antithetic_suite_blocks(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """A coupled pair of suite occurrence-count blocks (``u`` vs ``1 − u``)."""
     space_size = generator.space.size
-    cdf = np.cumsum(generator.profile.probabilities)
+    cdf = generator.profile.inverse_cdf
     uniforms = as_generator(rng).random((n_pairs, generator.size))
     counts = []
     for block in (uniforms, 1.0 - uniforms):

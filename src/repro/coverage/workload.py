@@ -78,17 +78,18 @@ class LocalizedGrowthResult:
         return self.mean_pfd[-1]
 
 
-def _row_pfd(faults: np.ndarray, coverage: np.ndarray, probabilities):
+def _row_pfd(faults: np.ndarray, coverage_f32: np.ndarray, probabilities):
     """Per-version pfd with a grouping-invariant pairwise reduction.
 
-    ``(faults @ coverage) > 0`` would be the failure matrix; multiplying
+    ``coverage_f32`` is the universe's cached float32 coverage matrix
+    (:meth:`~repro.faults.FaultUniverse.coverage_float32`), so the fault
+    counts behind ``(faults @ coverage) > 0`` are exact.  That is the
+    failure matrix; multiplying
     by ``Q`` and pairwise-summing each row keeps every row's float
     reduction a function of the demand count alone, so results cannot
     drift with the replication batch shape (chunk size).
     """
-    failed = (
-        faults.astype(np.float64) @ coverage.astype(np.float64) > 0.5
-    )
+    failed = faults.astype(np.float32) @ coverage_f32 > 0.5
     return (failed * probabilities[None, :]).sum(axis=1)
 
 
@@ -127,6 +128,7 @@ def _chunk_localized_growth(spec: dict, task: Tuple[int, int]):
     key = spec["key"]
     presence = spec["presence_probs"]
     coverage = spec["coverage"]
+    coverage_f32 = spec["coverage_f32"]
     probabilities = spec["probabilities"]
     cdf = spec["cdf"]
     covered = spec["covered"]
@@ -147,7 +149,7 @@ def _chunk_localized_growth(spec: dict, task: Tuple[int, int]):
     test_sees = covered[:, assignment]
 
     trajectories = np.zeros((count, rounds + 1), dtype=np.float64)
-    trajectories[:, 0] = _row_pfd(faults, coverage, probabilities)
+    trajectories[:, 0] = _row_pfd(faults, coverage_f32, probabilities)
     threshold = target_fraction * trajectories[:, 0]
     rounds_to_target = np.full(count, rounds + 1, dtype=np.int64)
     rounds_to_target[trajectories[:, 0] <= threshold] = 0
@@ -180,7 +182,7 @@ def _chunk_localized_growth(spec: dict, task: Tuple[int, int]):
                 pick_u = counter_uniforms(key, streams, pick_lane)[:, 0]
                 top = _select_random(repairable, pick_u)
             faults &= ~(detected & (assignment[None, :] == top[:, None]))
-            pfd = _row_pfd(faults, coverage, probabilities)
+            pfd = _row_pfd(faults, coverage_f32, probabilities)
             trajectories[:, round_index + 1] = pfd
             newly = (pfd <= threshold) & (rounds_to_target > rounds)
             rounds_to_target[newly] = round_index + 1
@@ -226,7 +228,7 @@ def _chunk_localized_growth(spec: dict, task: Tuple[int, int]):
                 )
             current &= ~(detected & (assignment == top))
             pfd = float(
-                _row_pfd(current[None, :], coverage, probabilities)[0]
+                _row_pfd(current[None, :], coverage_f32, probabilities)[0]
             )
             trajectories[row, round_index + 1] = pfd
             if pfd <= threshold[row] and rounds_to_target[row] > rounds:
@@ -308,8 +310,9 @@ def simulate_localized_growth(
         "key": counter_key(rng),
         "presence_probs": np.asarray(presence, dtype=np.float64),
         "coverage": universe.coverage,
+        "coverage_f32": universe.coverage_float32(),
         "probabilities": np.asarray(profile.probabilities, dtype=np.float64),
-        "cdf": np.cumsum(np.asarray(profile.probabilities, dtype=np.float64)),
+        "cdf": profile.inverse_cdf,
         "covered": matrix.covered,
         "assignment": model.assignment,
         "metric": metric,

@@ -15,7 +15,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from ..errors import IncompatibleSpaceError, ProbabilityError
-from ..rng import inverse_cdf_indices
+from ..rng import InverseCdf, inverse_cdf_indices
 from ..types import SeedLike
 from .space import DemandSpace
 
@@ -47,12 +47,16 @@ class UsageProfile:
     -----
     Instances are immutable.  Sampling uses the inverse-CDF method through
     :meth:`sample`, which accepts an external generator so experiments stay
-    reproducible under a single seed.
+    reproducible under a single seed.  The cdf and its Chen–Asau guide
+    table (:class:`~repro.rng.InverseCdf`) are built once here, so a draw
+    in a large block takes one bisection step on a uniform profile and at
+    most four on any profile, with results bit-identical to
+    ``np.searchsorted`` on the cdf.
     """
 
     space: DemandSpace
     probabilities: np.ndarray
-    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    _inverse_cdf: InverseCdf = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probabilities, dtype=np.float64)
@@ -70,7 +74,7 @@ class UsageProfile:
                 "use UsageProfile.normalised or a factory function"
             )
         object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "_cdf", np.cumsum(probs))
+        object.__setattr__(self, "_inverse_cdf", InverseCdf(np.cumsum(probs)))
 
     @classmethod
     def normalised(
@@ -145,7 +149,13 @@ class UsageProfile:
         the given shape.  Tuple shapes let the batch Monte-Carlo engine draw
         a whole ``(replications, suite_size)`` block of demands in one call.
         """
-        return inverse_cdf_indices(self._cdf, rng, size)
+        return inverse_cdf_indices(self._inverse_cdf, rng, size)
+
+    @property
+    def inverse_cdf(self) -> InverseCdf:
+        """The cdf of ``Q`` with its guide table — for callers that supply
+        their own uniforms to :func:`~repro.rng.inverse_cdf_indices`."""
+        return self._inverse_cdf
 
     @property
     def support(self) -> np.ndarray:

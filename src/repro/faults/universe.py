@@ -19,7 +19,30 @@ from ..errors import IncompatibleSpaceError, ModelError
 from ..types import as_index_array
 from .fault import Fault
 
-__all__ = ["FaultUniverse"]
+__all__ = ["FLOAT32_EXACT_BOUND", "FaultUniverse", "require_float32_exact"]
+
+#: float32 holds every integer up to 2**24 exactly, so a float32 product
+#: of 0/1 or count matrices is exact (in any summation order, fused or
+#: not) while every dot product stays below this bound
+FLOAT32_EXACT_BOUND = 1 << 24
+
+#: elements per float32 operand or result block of those products; the
+#: products are exact, so how the rows are split cannot change a result
+_PRODUCT_BLOCK = 1 << 18
+
+
+def require_float32_exact(bound: int, what: str) -> None:
+    """Raise :class:`ModelError` unless dot products ``<= bound`` are exact.
+
+    ``bound`` is a cap on every dot product of a float32 product, derived
+    from shapes (a 0/1 operand of width ``w`` caps it at ``w``) or from
+    known suite lengths; the products never round silently.
+    """
+    if bound >= FLOAT32_EXACT_BOUND:
+        raise ModelError(
+            f"{what} of {bound} reaches 2**24, beyond which float32 "
+            "products of 0/1 and count matrices are no longer exact"
+        )
 
 
 @dataclass(frozen=True)
@@ -39,7 +62,7 @@ class FaultUniverse:
     space: DemandSpace
     faults: tuple
     _coverage: np.ndarray = field(init=False, repr=False, compare=False)
-    _coverage_f64: np.ndarray | None = field(
+    _coverage_f32: np.ndarray | None = field(
         init=False, repr=False, compare=False, default=None
     )
 
@@ -113,18 +136,24 @@ class FaultUniverse:
         hit = self._coverage[:, demands].any(axis=1)
         return np.flatnonzero(hit).astype(np.int64)
 
-    def _coverage_float(self) -> np.ndarray:
-        """Float64 view of the coverage matrix, cached for the batch kernels.
+    def coverage_float32(self) -> np.ndarray:
+        """The coverage matrix as float32 0/1, cached for the batch kernels.
 
-        Chunked batch runs call :meth:`triggered_matrix` /
-        :meth:`failure_matrix` once per chunk; converting the fixed coverage
-        matrix each time would be pure repeated work.
+        Chunked batch runs take :meth:`triggered_matrix`,
+        :meth:`failure_matrix` and :meth:`hit_counts` once per chunk;
+        converting the fixed coverage matrix each time would be pure
+        repeated work.  float32 rather than float64: every product against
+        it is a sum of non-negative integers, exact below 2**24 — which
+        the demand-space and universe sizes are checked against here, once
+        — and sgemm moves half the bytes of dgemm.
         """
-        if self._coverage_f64 is None:
-            object.__setattr__(
-                self, "_coverage_f64", self._coverage.astype(np.float64)
-            )
-        return self._coverage_f64
+        if self._coverage_f32 is None:
+            require_float32_exact(self.space.size, "demand space size")
+            require_float32_exact(len(self.faults), "universe size")
+            matrix = self._coverage.astype(np.float32)
+            matrix.flags.writeable = False
+            object.__setattr__(self, "_coverage_f32", matrix)
+        return self._coverage_f32
 
     def triggered_matrix(self, suite_masks: np.ndarray) -> np.ndarray:
         """Batched :meth:`triggered_by`: which faults each suite triggers.
@@ -151,9 +180,12 @@ class FaultUniverse:
         if not len(self.faults):
             return np.zeros((masks.shape[0], 0), dtype=bool)
         # float matmul routes through BLAS, which is far faster than any
-        # boolean reduction over the (suites, faults, demands) cube.
-        hits = masks.astype(np.float64) @ self._coverage_float().T
-        return hits > 0.5
+        # boolean reduction over the (suites, faults, demands) cube; each
+        # entry counts demands, at most the (checked) space size
+        triggered = np.empty((masks.shape[0], len(self.faults)), dtype=bool)
+        for rows, hits in self._products(masks, self.coverage_float32().T):
+            np.greater(hits, 0.5, out=triggered[rows])
+        return triggered
 
     def failure_matrix(self, presence: np.ndarray) -> np.ndarray:
         """Per-version failure masks from a batch of fault-presence rows.
@@ -178,8 +210,63 @@ class FaultUniverse:
             )
         if not len(self.faults):
             return np.zeros((rows.shape[0], self.space.size), dtype=bool)
-        hits = rows.astype(np.float64) @ self._coverage_float()
-        return hits > 0.5
+        # each entry counts faults, at most the (checked) universe size
+        failing = np.empty((rows.shape[0], self.space.size), dtype=bool)
+        for block, hits in self._products(rows, self.coverage_float32()):
+            np.greater(hits, 0.5, out=failing[block])
+        return failing
+
+    def hit_counts(self, counts: np.ndarray) -> np.ndarray:
+        """How often each suite executes a demand of each fault's region.
+
+        Parameters
+        ----------
+        counts:
+            Non-negative integer occurrence counts ``[n_suites, n_demands]``
+            — entry ``(r, x)`` is how often suite ``r`` executes demand
+            ``x`` (or how many of those executions detected a failure).
+
+        Returns
+        -------
+        Float64 matrix ``[n_suites, n_faults]`` of exact integer values:
+        entry ``(r, f)`` is ``sum_x counts[r, x] * cover(f, x)``, the
+        number of removal chances fault ``f`` gets in suite ``r`` — the
+        count closure of the §4.1 and coverage-limited batch kernels.
+        Computed as one float32 matrix product, exact while every entry
+        is below 2**24.  A float32 sum of non-negative integers reads
+        below 2**24 exactly when the true sum does (rounding is monotone
+        and 2**24 is representable), so the result itself is the check:
+        an entry at or above the bound raises :class:`ModelError` instead
+        of rounding silently, and no pass over ``counts`` is needed.
+        """
+        block = np.asarray(counts)
+        if block.ndim != 2 or block.shape[1] != self.space.size:
+            raise IncompatibleSpaceError(
+                f"count block of shape {block.shape} does not match demand "
+                f"space size {self.space.size}"
+            )
+        if not len(self.faults):
+            return np.zeros((block.shape[0], 0), dtype=np.float64)
+        chances = np.empty((block.shape[0], len(self.faults)), dtype=np.float64)
+        for rows, hits in self._products(block, self.coverage_float32().T):
+            require_float32_exact(int(hits.max()), "suite hit count")
+            chances[rows] = hits
+        return chances
+
+    @staticmethod
+    def _products(block: np.ndarray, matrix: np.ndarray):
+        """``block @ matrix`` as float32, one row block at a time.
+
+        Yields ``(rows, product)`` pairs.  The operands are 0/1 or count
+        matrices, so every product entry is an exact integer and the row
+        split cannot change a result; it only keeps the float32 copies of
+        ``block`` and the product near cache size instead of the size of
+        the whole replication block.
+        """
+        step = max(1, _PRODUCT_BLOCK // max(block.shape[1], matrix.shape[1]))
+        for start in range(0, block.shape[0], step):
+            rows = slice(start, start + step)
+            yield rows, block[rows].astype(np.float32) @ matrix
 
     def surviving(self, demands: Sequence[int] | np.ndarray) -> np.ndarray:
         """Identifiers of faults *not* triggered by the given demands."""

@@ -286,9 +286,8 @@ def apply_imperfect_testing_batch(
         detecting = counts
     else:
         detecting = generator.binomial(counts, detection_probability)
-    # chances[r, f] = number of detecting occurrences covering fault f;
-    # float64 matmul routes through BLAS and is exact for realistic counts
-    chances = detecting.astype(np.float64) @ universe.coverage.T.astype(np.float64)
+    # chances[r, f] = number of detecting occurrences covering fault f
+    chances = universe.hit_counts(detecting)
     if fix_probability >= 1.0:
         # 0 ** 0 == 1: untouched faults survive, any chance removes
         return fault_matrix & (chances < 0.5)
@@ -337,7 +336,7 @@ def apply_coverage_testing_batch(
     if not len(universe):
         return fault_matrix.copy()
     generator = as_generator(rng)
-    chances = counts.astype(np.float64) @ universe.coverage.T.astype(np.float64)
+    chances = universe.hit_counts(counts)
     # 0 ** 0 == 1: an untouched fault always survives, a q_f == 1 fault
     # is removed by its first chance
     survival = (1.0 - probs[None, :]) ** chances

@@ -55,8 +55,15 @@ import numpy as np
 
 from ..core.regimes import ForcedTestingDiversity, IndependentSuites, SameSuite
 from ..errors import ModelError
+from ..faults.universe import require_float32_exact
 from ..populations.bernoulli import BernoulliFaultPopulation
-from ..rng import counter_key, counter_uniforms, inverse_cdf_indices, philox_uniform
+from ..rng import (
+    InverseCdf,
+    counter_key,
+    counter_uniforms,
+    inverse_cdf_indices,
+    philox_uniform,
+)
 from ..testing.fixing import ImperfectFixing, PerfectFixing
 from ..testing.generators import (
     EnumerableSuiteGenerator,
@@ -294,9 +301,16 @@ def _np_joint_demand_failures(faults_a, faults_b, ids_a, ids_b):
     return faults_a[:, ids_a].any(axis=1) & faults_b[:, ids_b].any(axis=1)
 
 
+# The twins' matrix products take 0/1 and count operands in float32: every
+# dot product is a non-negative integer, exact below 2**24, and each twin
+# checks a shape-derived cap on it (see repro.faults.universe).  The block
+# operand dominates the bytes moved; the coverage cast is (faults, demands).
+
+
 def _np_failure_matrix(faults, coverage):
+    require_float32_exact(coverage.shape[0], "universe size")
     return (
-        faults.astype(np.float64) @ coverage.astype(np.float64)
+        faults.astype(np.float32) @ coverage.astype(np.float32)
     ) > 0.5
 
 
@@ -319,8 +333,9 @@ def _np_joint_pfd_values(faults_a, faults_b, cov_a, cov_b, q):
 
 
 def _np_perfect_closure(faults, masks, coverage, visible):
+    require_float32_exact(coverage.shape[1], "demand space size")
     triggered = (
-        masks.astype(np.float64) @ coverage.T.astype(np.float64)
+        masks.astype(np.float32) @ coverage.T.astype(np.float32)
     ) > 0.5
     return faults & ~(triggered & visible[None, :])
 
@@ -336,7 +351,11 @@ def _np_imperfect_closure(
     counts = np.bincount(
         rows * n_demands + demands, minlength=n_replications * n_demands
     ).reshape(n_replications, n_demands)
-    chances = counts.astype(np.float64) @ coverage.T.astype(np.float64)
+    # a row's counts total at most the suite length
+    require_float32_exact(seqs.shape[1], "suite length")
+    chances = (
+        counts.astype(np.float32) @ coverage.T.astype(np.float32)
+    ).astype(np.float64)
     survival = (1.0 - fix_p) ** chances
     return faults & (surv_u < survival)
 
@@ -521,7 +540,7 @@ def back_to_back_counter(
 class _ProfileSuiteLaw:
     """Fixed-size i.i.d. inverse-CDF draws from a demand profile."""
 
-    def __init__(self, cdf: np.ndarray, space_size: int, size: int) -> None:
+    def __init__(self, cdf: InverseCdf, space_size: int, size: int) -> None:
         self.cdf = cdf
         self.space_size = space_size
         self.lanes = size  # one uniform per suite position
@@ -558,7 +577,7 @@ class _EnumerableSuiteLaw:
 
     def __init__(self, generator: EnumerableSuiteGenerator) -> None:
         suites, probs = zip(*generator.enumerate())
-        self.cdf = np.cumsum(np.asarray(probs, dtype=np.float64))
+        self.cdf = InverseCdf(np.cumsum(np.asarray(probs, dtype=np.float64)))
         self.space_size = generator.space.size
         self.lanes = 1
         self.width = max(len(suite) for suite in suites)
@@ -586,13 +605,13 @@ def _suite_law(generator):
     """
     if type(generator) is OperationalSuiteGenerator:
         return _ProfileSuiteLaw(
-            np.cumsum(generator.profile.probabilities),
+            generator.profile.inverse_cdf,
             generator.space.size,
             generator.size,
         )
     if type(generator) is WeightedDebugGenerator:
         return _ProfileSuiteLaw(
-            np.cumsum(generator.debug_profile.probabilities),
+            generator.debug_profile.inverse_cdf,
             generator.space.size,
             generator.size,
         )
@@ -1045,7 +1064,7 @@ def simulate_marginal_system_pfd_compiled(
     spec["q"] = np.asarray(profile.probabilities, dtype=np.float64)
     if not rao_blackwell:
         spec["demand_base"] = spec["lane_top"]
-        spec["profile_cdf"] = np.cumsum(spec["q"])
+        spec["profile_cdf"] = profile.inverse_cdf
     spans = _chunk_spans(n_replications, chunk_size)
     return _mean_from(_gather(_chunk_marginal, spec, spans, n_jobs))
 

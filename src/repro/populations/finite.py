@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import EmptyPopulationError, ModelError, ProbabilityError
 from ..faults import FaultUniverse
-from ..rng import inverse_cdf_indices
+from ..rng import InverseCdf, inverse_cdf_indices
 from ..types import SeedLike
 from ..versions import Version
 from .base import VersionPopulation
@@ -75,7 +75,7 @@ class FinitePopulation(VersionPopulation):
             )
         self._versions = versions
         self._probs = probs
-        self._cdf = np.cumsum(probs)
+        self._cdf = InverseCdf(np.cumsum(probs))
         self._presence_table: np.ndarray | None = None
 
     @classmethod

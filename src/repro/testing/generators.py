@@ -23,7 +23,7 @@ import numpy as np
 
 from ..demand import DemandPartition, DemandSpace, UsageProfile
 from ..errors import ModelError, NotEnumerableError, ProbabilityError
-from ..rng import as_generator, inverse_cdf_indices, spawn_many
+from ..rng import InverseCdf, as_generator, inverse_cdf_indices, spawn_many
 from ..types import SeedLike
 from .suite import TestSuite
 
@@ -447,7 +447,7 @@ class EnumerableSuiteGenerator(SuiteGenerator):
             )
         self._suites = suites
         self._probs = probs
-        self._cdf = np.cumsum(probs)
+        self._cdf = InverseCdf(np.cumsum(probs))
         self._mask_table: np.ndarray | None = None
         self._sequence_table: np.ndarray | None = None
 
